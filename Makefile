@@ -94,15 +94,15 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkDDSampling -benchtime 2s .
 
-# Frozen-vs-live per-shot sampling cost (the freeze-then-sample refactor's
-# headline number; committed snapshot lives in BENCH_FROZEN.txt). Sampling
+# Per-shot cost of the frozen-snapshot walk (committed snapshot lives in
+# BENCH_FROZEN.txt). Sampling
 # rows run at 2M fixed iterations x3 so the committed baseline is a min-of-3
 # of ~0.2-3s measurements — long enough to average over scheduler jitter on
 # small hosts, and symmetric with what cmd/benchcheck measures. The freeze
 # benchmark runs separately with a small fixed iteration count: one freeze
 # of shor_33_2 costs ~20ms, so 2000000x would blow the go test timeout.
 bench-frozen:
-	$(GO) test -run '^$$' -bench 'BenchmarkSampleLive|BenchmarkSampleFrozen' -benchtime 2000000x -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkSampleFrozen' -benchtime 2000000x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkFreeze' -benchtime 50x .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildFreeze' -benchtime 10x -count 3 .
 

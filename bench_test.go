@@ -278,47 +278,10 @@ func frozenBenchState(b *testing.B, name string) (*dd.Manager, dd.VEdge) {
 // thousands of nodes (shor, jellium).
 var frozenBenchRows = []string{"qft_16", "shor_33_2", "shor_55_2", "jellium_2x2"}
 
-// BenchmarkSampleLive is the pre-freeze baseline: per-sample cost of the
-// pointer walk over the live diagram, under the L2 fast rule and the
-// generic downstream rule (which consults a hash map of downstream masses
-// at every branch).
-func BenchmarkSampleLive(b *testing.B) {
-	for _, name := range frozenBenchRows {
-		name := name
-		for _, generic := range []bool{false, true} {
-			generic := generic
-			mode := "fast"
-			if generic {
-				mode = "generic"
-			}
-			b.Run(name+"/"+mode, func(b *testing.B) {
-				m, edge := frozenBenchState(b, name)
-				var opts []core.DDSamplerOption
-				if generic {
-					opts = append(opts, core.ForceGeneric())
-				}
-				sampler, err := core.NewDDSampler(m, edge, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r := rng.New(1)
-				b.ResetTimer()
-				var sink uint64
-				for i := 0; i < b.N; i++ {
-					sink ^= sampler.Sample(r)
-				}
-				_ = sink
-			})
-		}
-	}
-}
-
-// BenchmarkSampleFrozen is the freeze-then-sample counterpart of
-// BenchmarkSampleLive: identical states and random sequences, but the walk
-// runs over the immutable flat-array snapshot — index chasing instead of
-// pointer chasing, precomputed thresholds instead of map lookups. The
-// per-shot delta against BenchmarkSampleLive is the refactor's payoff; the
-// one-off freeze cost is measured by BenchmarkFreeze.
+// BenchmarkSampleFrozen measures the per-sample cost of the walk over the
+// immutable flat-array snapshot, under the L2 fast rule and the generic
+// downstream-renormalized rule (both read one precomputed threshold per
+// level). The one-off freeze cost is measured by BenchmarkFreeze.
 func BenchmarkSampleFrozen(b *testing.B) {
 	for _, name := range frozenBenchRows {
 		name := name
@@ -372,10 +335,10 @@ func BenchmarkFreeze(b *testing.B) {
 	}
 }
 
-// BenchmarkDDSamplerPrecomputation measures the linear-time precomputation
-// (paper Section IV-B) in isolation: building the sampler including the
-// downstream pass.
-func BenchmarkDDSamplerPrecomputation(b *testing.B) {
+// BenchmarkDDPrecomputation measures the linear-time precomputation (paper
+// Section IV-B) in isolation: building the sampler, i.e. the freeze with
+// its downstream/upstream passes.
+func BenchmarkDDPrecomputation(b *testing.B) {
 	state := benchState(b, "shor_33_2")
 	b.Run("fast_l2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

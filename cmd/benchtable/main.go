@@ -80,21 +80,15 @@ type benchRow struct {
 
 	// VectorStatus / DDStatus are the per-column outcomes ("ok", "MO",
 	// "TO"); the corresponding seconds are set only on "ok".
+	// DDSeconds covers freezing the diagram into the immutable flat-array
+	// snapshot plus the shot batch drawn by lock-free walks over it (sharded
+	// across -workers goroutines when set); FreezeSeconds is the freeze's
+	// share of it.
 	VectorStatus  string  `json:"vector_status,omitempty"`
 	VectorSeconds float64 `json:"vector_seconds,omitempty"`
 	DDStatus      string  `json:"dd_status,omitempty"`
 	DDSeconds     float64 `json:"dd_seconds,omitempty"`
-
-	// Freeze-then-sample columns: FreezeSeconds is the one-off cost of
-	// converting the live diagram into the immutable flat-array snapshot;
-	// DDFrozenSeconds covers the same shot batch drawn by lock-free walks
-	// over the snapshot (sharded across -workers goroutines when set);
-	// DDSpeedup is DDSeconds / DDFrozenSeconds — the per-shot win of the
-	// frozen arrays over the live pointer walk.
-	FreezeSeconds   float64 `json:"freeze_seconds,omitempty"`
-	DDFrozenStatus  string  `json:"dd_frozen_status,omitempty"`
-	DDFrozenSeconds float64 `json:"dd_frozen_seconds,omitempty"`
-	DDSpeedup       float64 `json:"dd_speedup,omitempty"`
+	FreezeSeconds float64 `json:"freeze_seconds,omitempty"`
 
 	// HitRates maps cache kind → hit rate in [0,1] after strong
 	// simulation: unique_v, unique_m, cache_mul, cache_add, cnum_intern.
@@ -132,7 +126,7 @@ func run() error {
 		norm     = flag.String("norm", "l2phase", "DD normalization scheme: left, l2, or l2phase")
 		timeout  = flag.Duration("timeout", 0, "per-row wall-clock bound; rows exceeding it report TO like the paper (0 = none)")
 		ddBudget = flag.Int("dd-node-budget", 0, "max live DD nodes per row; rows exceeding it report MO in the DD columns (0 = unlimited)")
-		workers  = flag.Int("workers", 1, "worker goroutines for the frozen-snapshot sampling column (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 1, "worker goroutines for the DD sampling column (0 = GOMAXPROCS)")
 		jsonOut  = flag.String("json-out", "", `write a machine-readable run summary to this path ("auto" = BENCH_<timestamp>.json)`)
 	)
 	flag.Parse()
@@ -171,11 +165,11 @@ func run() error {
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)
 	}
-	fmt.Printf("frozen column: freeze-then-sample over the immutable snapshot, %d worker(s)\n", nWorkers)
+	fmt.Printf("DD column: freeze-then-sample over the immutable snapshot, %d worker(s)\n", nWorkers)
 	fmt.Println()
-	fmt.Printf("%-18s %6s | %8s %10s | %12s %9s %9s %6s | %9s %6s\n",
-		"benchmark", "qubits", "vec size", "vec t[s]", "DD size", "live t[s]", "frz t[s]", "spdup", "sim t[s]", "probe")
-	fmt.Println(strings.Repeat("-", 111))
+	fmt.Printf("%-18s %6s | %8s %10s | %12s %9s | %9s %6s\n",
+		"benchmark", "qubits", "vec size", "vec t[s]", "DD size", "DD t[s]", "sim t[s]", "probe")
+	fmt.Println(strings.Repeat("-", 94))
 
 	doc := benchDoc{
 		GeneratedAt: time.Now().Format(time.RFC3339),
@@ -331,8 +325,8 @@ func runRow(name string, shots int, seed uint64, budget, ddBudget, workers int, 
 		// sampling column can run — the whole row is MO/TO, as in the
 		// paper's vector rows that never complete.
 		if mark, ok := cell(err); ok {
-			fmt.Printf("%-18s %6d | %8s %10s | %12s %9s %9s %6s | %9s %6s\n",
-				name, c.NQubits, mark, mark, mark, mark, mark, "", mark, "")
+			fmt.Printf("%-18s %6d | %8s %10s | %12s %9s | %9s %6s\n",
+				name, c.NQubits, mark, mark, mark, mark, mark, "")
 			row.Status = mark
 			row.PeakNodes = s.Manager().PeakNodes()
 			row.HitRates = hitRates(s.Manager().TableStats())
@@ -384,17 +378,22 @@ func runRow(name string, shots int, seed uint64, budget, ddBudget, workers int, 
 		}
 	}
 
-	// DD-based column, live walk: precompute branch probabilities (a no-op
-	// under L2 normalization) and draw the samples by pointer traversal of
-	// the live diagram — the pre-freeze baseline.
+	// DD-based column: freeze the state into an immutable snapshot once,
+	// then draw the batch by lock-free walks over the flat arrays, sharded
+	// across the worker pool. The printed time covers freeze + sampling.
 	start := time.Now()
-	ddSampler, err := core.NewDDSampler(m, state)
+	snap, err := m.Freeze(state)
+	if err != nil {
+		return row, err
+	}
+	row.FreezeSeconds = time.Since(start).Seconds()
+	frozen, err := core.NewFrozenSampler(snap)
 	if err != nil {
 		return row, err
 	}
 	ddSize := fmt.Sprintf("%6d ≈2^%-4.1f", nodeCount, math.Log2(float64(nodeCount)))
 	var ddTime string
-	if err := sampleSink(ctx, ddSampler, seed, shots); err != nil {
+	if err := parallelSampleSink(ctx, frozen, seed, shots, workers); err != nil {
 		if mark, ok := cell(err); ok {
 			ddTime = mark
 			row.DDStatus = mark
@@ -408,41 +407,8 @@ func runRow(name string, shots int, seed uint64, budget, ddBudget, workers int, 
 		row.DDSeconds = elapsed.Seconds()
 	}
 
-	// Frozen column: freeze the state into an immutable snapshot once, then
-	// draw the same batch by lock-free walks over the flat arrays, sharded
-	// across the worker pool. The printed time covers freeze + sampling.
-	freezeStart := time.Now()
-	snap, err := m.Freeze(state)
-	if err != nil {
-		return row, err
-	}
-	row.FreezeSeconds = time.Since(freezeStart).Seconds()
-	frozen, err := core.NewFrozenSampler(snap)
-	if err != nil {
-		return row, err
-	}
-	var frzTime, speedup string
-	start = time.Now()
-	if err := parallelSampleSink(ctx, frozen, seed, shots, workers); err != nil {
-		if mark, ok := cell(err); ok {
-			frzTime = mark
-			row.DDFrozenStatus = mark
-		} else {
-			return row, err
-		}
-	} else {
-		elapsed := time.Since(start)
-		row.DDFrozenStatus = "ok"
-		row.DDFrozenSeconds = elapsed.Seconds()
-		frzTime = fmt.Sprintf("%.2f", row.FreezeSeconds+row.DDFrozenSeconds)
-		if row.DDSeconds > 0 && row.DDFrozenSeconds > 0 {
-			row.DDSpeedup = row.DDSeconds / row.DDFrozenSeconds
-			speedup = fmt.Sprintf("%.2fx", row.DDSpeedup)
-		}
-	}
-
-	fmt.Printf("%-18s %6d | %8s %10s | %12s %9s %9s %6s | %9.2f %6.2f\n",
-		name, c.NQubits, vecCol, vecTime, ddSize, ddTime, frzTime, speedup, simTime.Seconds(), row.UniqueProbeLen)
+	fmt.Printf("%-18s %6d | %8s %10s | %12s %9s | %9.2f %6.2f\n",
+		name, c.NQubits, vecCol, vecTime, ddSize, ddTime, simTime.Seconds(), row.UniqueProbeLen)
 	return row, nil
 }
 
@@ -466,7 +432,7 @@ func sampleSink(ctx context.Context, sampler core.Sampler, seed uint64, shots in
 // draws its quota from rng.Stream(seed, k) into a goroutine-local sink. The
 // sampler must be safe for concurrent use (core.FrozenSampler is). With
 // workers <= 1 it falls back to the sequential sink so single-worker timings
-// stay directly comparable to the live column.
+// stay directly comparable to the vector column.
 func parallelSampleSink(ctx context.Context, sampler core.Sampler, seed uint64, shots, workers int) error {
 	if workers <= 1 {
 		return sampleSink(ctx, sampler, seed, shots)

@@ -105,7 +105,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 		Norm:        "l2phase",
 		Workers:     2,
 		Rows: []benchRow{
-			{Name: "qft_16", Qubits: 16, Status: "ok", DDSpeedup: 2.2},
+			{Name: "qft_16", Qubits: 16, Status: "ok", DDSeconds: 0.27, FreezeSeconds: 0.01},
 			{Name: "supremacy_5x5_10", Status: "MO"},
 		},
 	}
@@ -120,10 +120,11 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Shots != 1000 || len(back.Rows) != 2 || back.Rows[0].Name != "qft_16" {
+	if back.Shots != 1000 || len(back.Rows) != 2 || back.Rows[0].Name != "qft_16" ||
+		back.Rows[0].DDSeconds != 0.27 || back.Rows[0].FreezeSeconds != 0.01 {
 		t.Fatalf("round trip mangled the document: %+v", back)
 	}
-	if back.Rows[1].Status != "MO" || back.Rows[1].DDSpeedup != 0 {
+	if back.Rows[1].Status != "MO" || back.Rows[1].DDSeconds != 0 {
 		t.Fatalf("MO row mangled: %+v", back.Rows[1])
 	}
 }

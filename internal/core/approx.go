@@ -29,39 +29,43 @@ func Approximate(m *dd.Manager, state dd.VEdge, threshold float64) (dd.VEdge, fl
 	if threshold == 0 {
 		return state, 1, nil
 	}
-	down := Downstream(m, state)
-	up := Upstream(m, state)
+	snap, err := m.Freeze(state)
+	if err != nil {
+		return dd.VEdge{}, 0, fmt.Errorf("core: %w", err)
+	}
 
-	memo := make(map[*dd.VNode]dd.VEdge)
-	var rebuild func(n *dd.VNode, v int) dd.VEdge
-	rebuild = func(n *dd.VNode, v int) dd.VEdge {
-		if n == nil {
+	memo := make([]dd.VEdge, snap.Len())
+	done := make([]bool, snap.Len())
+	var rebuild func(i int32) dd.VEdge
+	rebuild = func(i int32) dd.VEdge {
+		if i == dd.SnapTerminal {
 			return dd.VEdge{W: cnum.One}
 		}
-		if e, ok := memo[n]; ok {
-			return e
+		if done[i] {
+			return memo[i]
 		}
+		nd := snap.At(i)
 		var children [2]dd.VEdge
-		for i := 0; i < 2; i++ {
-			edge := n.E[i]
-			if edge.IsZero() {
+		for b := 0; b < 2; b++ {
+			k := nd.Kid[b]
+			if k == dd.SnapZero {
 				continue
 			}
-			contribution := up[n] * edge.W.Abs2() * downOf(edge.N, down)
+			contribution := snap.Up(i) * nd.W[b].Abs2() * downOf(snap, k)
 			if contribution < threshold {
 				continue // prune
 			}
-			sub := rebuild(edge.N, v-1)
+			sub := rebuild(k)
 			if sub.IsZero() {
 				continue
 			}
-			children[i] = dd.VEdge{W: m.Lookup(edge.W.Mul(sub.W)), N: sub.N}
+			children[b] = dd.VEdge{W: m.Lookup(nd.W[b].Mul(sub.W)), N: sub.N}
 		}
-		e := m.MakeVNode(v, children[0], children[1])
-		memo[n] = e
+		e := m.MakeVNode(int(nd.V), children[0], children[1])
+		memo[i], done[i] = e, true
 		return e
 	}
-	rebuilt := rebuild(state.N, m.Qubits()-1)
+	rebuilt := rebuild(snap.Root())
 	if rebuilt.IsZero() {
 		return dd.VEdge{}, 0, fmt.Errorf("core: threshold %g pruned the entire state", threshold)
 	}

@@ -60,10 +60,7 @@ func TestApproximateSamplingMatchesPrunedDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewDDSampler(m, approx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := freezeSampler(t, m, approx)
 	shots := 20000
 	counts := Counts(s, rng.New(8), shots)
 	expected := []float64{0, 0.5, 0, 0.5, 0, 0, 0, 0}

@@ -12,12 +12,15 @@
 //     method.
 //
 //   - DD-based (paper Section IV): the state stays in decision-diagram
-//     form. DDSampler precomputes per-node branch probabilities (the
-//     downstream pass; the upstream pass is exposed for analysis) and draws
-//     each sample with a randomized root-to-terminal walk in O(n) time.
+//     form. dd.Manager.Freeze converts the final diagram once into a
+//     pointer-free dd.Snapshot with per-node branch thresholds and
+//     downstream/upstream masses precomputed; FrozenSampler draws each
+//     sample with a randomized root-to-terminal walk over it in O(n) time.
 //     Under the paper's proposed L2 normalization scheme the branch
 //     probabilities are directly the squared magnitudes of the outgoing
-//     edge weights, and no downstream pass is needed at all.
+//     edge weights, and no downstream renormalization is needed at all.
+//     The analysis surfaces (QubitProbability, Approximate, TopOutcomes)
+//     read the same snapshot by index.
 //
 // Both families produce exact (error-free) weak simulation: the sampled
 // distribution equals the state's Born distribution up to floating-point

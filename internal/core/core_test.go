@@ -154,68 +154,98 @@ func TestSamplersAcceptUnnormalizedWeights(t *testing.T) {
 	chiSquareCheck(t, "prefix-unnormalized", ps, want, 20000, 4)
 }
 
-func TestDDSamplerMatchesDistribution(t *testing.T) {
-	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
-		m := dd.New(3, dd.WithNormalization(norm))
-		state, err := m.FromVector(runningExampleVector())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewDDSampler(m, state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantFast := norm == dd.NormL2 || norm == dd.NormL2Phase
-		if s.FastPath() != wantFast {
-			t.Errorf("norm=%v: FastPath = %v, want %v", norm, s.FastPath(), wantFast)
-		}
-		chiSquareCheck(t, "dd-"+norm.String(), s, runningExampleProbs(), 40000, 5)
-	}
-}
-
-func TestDDSamplerForceGeneric(t *testing.T) {
-	m := dd.New(3) // NormL2Phase default
-	state, _ := m.FromVector(runningExampleVector())
-	s, err := NewDDSampler(m, state, ForceGeneric())
+// freezeSampler freezes state and returns a walker over the snapshot.
+func freezeSampler(t *testing.T, m *dd.Manager, state dd.VEdge, opts ...dd.FreezeOption) *FrozenSampler {
+	t.Helper()
+	snap, err := m.Freeze(state, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.FastPath() {
-		t.Error("ForceGeneric did not disable the fast path")
+	s, err := NewFrozenSampler(snap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	chiSquareCheck(t, "dd-generic", s, runningExampleProbs(), 40000, 6)
+	return s
 }
 
-func TestDDSamplerRejectsZeroVector(t *testing.T) {
-	m := dd.New(3)
-	if _, err := NewDDSampler(m, dd.VEdge{}); err == nil {
-		t.Error("expected error sampling the zero vector")
+// freezeRunningExample freezes the paper's running example under norm.
+func freezeRunningExample(t *testing.T, norm dd.Norm) *dd.Snapshot {
+	t.Helper()
+	m := dd.New(3, dd.WithNormalization(norm))
+	state, err := m.FromVector(runningExampleVector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Freeze(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// edgeProbs returns the conditional probability of descending along the
+// 0- and 1-successor of node i (paper Fig. 4c): the edge's squared weight
+// magnitude times the successor's downstream mass, renormalized at the
+// node.
+func edgeProbs(snap *dd.Snapshot, i int32) [2]float64 {
+	nd := snap.At(i)
+	var d [2]float64
+	for b := 0; b < 2; b++ {
+		if k := nd.Kid[b]; k != dd.SnapZero {
+			d[b] = nd.W[b].Abs2() * downOf(snap, k)
+		}
+	}
+	total := d[0] + d[1]
+	return [2]float64{d[0] / total, d[1] / total}
+}
+
+// TestFrozenSamplerMatchesDistribution: under every normalization scheme
+// and both branch-probability rules, the frozen walk reproduces the exact
+// distribution of the running example.
+func TestFrozenSamplerMatchesDistribution(t *testing.T) {
+	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
+		for _, generic := range []bool{false, true} {
+			m := dd.New(3, dd.WithNormalization(norm))
+			state, err := m.FromVector(runningExampleVector())
+			if err != nil {
+				t.Fatal(err)
+			}
+			name, seed := "dd-"+norm.String(), uint64(5)
+			var opts []dd.FreezeOption
+			if generic {
+				name, seed = name+"-generic", 6
+				opts = append(opts, dd.FreezeGeneric())
+			}
+			s := freezeSampler(t, m, state, opts...)
+			wantGeneric := generic || norm == dd.NormLeft
+			if s.Snapshot().Generic() != wantGeneric {
+				t.Errorf("%s: Generic = %v, want %v", name, s.Snapshot().Generic(), wantGeneric)
+			}
+			chiSquareCheck(t, name, s, runningExampleProbs(), 40000, seed)
+		}
 	}
 }
 
 func TestDownstreamUpstreamRunningExample(t *testing.T) {
 	// Under NormLeft the running example reproduces the paper's Fig. 4c
 	// edge probabilities: root 3/4 vs 1/4, inner nodes 1/2 each.
-	m := dd.New(3, dd.WithNormalization(dd.NormLeft))
-	state, _ := m.FromVector(runningExampleVector())
-	root := state.N
+	snap := freezeRunningExample(t, dd.NormLeft)
+	root := snap.Root()
+	rn := snap.At(root)
 
-	down := Downstream(m, state)
 	// Left subtree of the root holds 3/4 of the (normalized) mass.
-	dl := root.E[0].W.Abs2() * down[root.E[0].N]
-	dr := root.E[1].W.Abs2() * down[root.E[1].N]
+	dl := rn.W[0].Abs2() * snap.Down(rn.Kid[0])
+	dr := rn.W[1].Abs2() * snap.Down(rn.Kid[1])
 	if !approx(dl/(dl+dr), 0.75, 1e-9) {
 		t.Errorf("root left mass fraction = %v, want 3/4", dl/(dl+dr))
 	}
 
-	probs := EdgeProbabilities(m, state)
-	rootP := probs[root]
+	rootP := edgeProbs(snap, root)
 	if !approx(rootP[0], 0.75, 1e-9) || !approx(rootP[1], 0.25, 1e-9) {
 		t.Errorf("root edge probabilities = %v, want [3/4 1/4] (Fig. 4c)", rootP)
 	}
 	for i := 0; i < 2; i++ {
-		q1 := root.E[i].N
-		p := probs[q1]
+		p := edgeProbs(snap, rn.Kid[i])
 		if !approx(p[0], 0.5, 1e-9) || !approx(p[1], 0.5, 1e-9) {
 			t.Errorf("q1 node %d edge probabilities = %v, want [1/2 1/2] (Fig. 4c)", i, p)
 		}
@@ -224,12 +254,11 @@ func TestDownstreamUpstreamRunningExample(t *testing.T) {
 	// Upstream values are half-path masses: combined with downstream they
 	// give absolute traversal probabilities (up·down), 1 at the root and
 	// 3/4 / 1/4 at the two q1 nodes — under any normalization scheme.
-	up := Upstream(m, state)
-	if got := up[root] * down[root]; !approx(got, 1, 1e-9) {
+	if got := snap.Up(root) * snap.Down(root); !approx(got, 1, 1e-9) {
 		t.Errorf("up·down(root) = %v, want 1", got)
 	}
-	t0 := up[root.E[0].N] * down[root.E[0].N]
-	t1 := up[root.E[1].N] * down[root.E[1].N]
+	t0 := snap.Up(rn.Kid[0]) * snap.Down(rn.Kid[0])
+	t1 := snap.Up(rn.Kid[1]) * snap.Down(rn.Kid[1])
 	if !approx(t0, 0.75, 1e-9) || !approx(t1, 0.25, 1e-9) {
 		t.Errorf("traversal probabilities of q1 nodes = %v, %v; want 3/4, 1/4", t0, t1)
 	}
@@ -238,27 +267,23 @@ func TestDownstreamUpstreamRunningExample(t *testing.T) {
 func TestUpstreamDirectlyReadableUnderL2(t *testing.T) {
 	// Under L2 normalization downstream ≡ 1, so upstream values alone are
 	// the traversal probabilities.
-	m := dd.New(3, dd.WithNormalization(dd.NormL2))
-	state, _ := m.FromVector(runningExampleVector())
-	up := Upstream(m, state)
-	root := state.N
-	if !approx(up[root], 1, 1e-9) {
-		t.Errorf("up(root) = %v, want 1", up[root])
+	snap := freezeRunningExample(t, dd.NormL2)
+	root := snap.Root()
+	if u := snap.Up(root); !approx(u, 1, 1e-9) {
+		t.Errorf("up(root) = %v, want 1", u)
 	}
-	u0 := up[root.E[0].N]
-	u1 := up[root.E[1].N]
+	u0 := snap.Up(snap.At(root).Kid[0])
+	u1 := snap.Up(snap.At(root).Kid[1])
 	if !approx(u0, 0.75, 1e-9) || !approx(u1, 0.25, 1e-9) {
 		t.Errorf("upstream(q1 nodes) = %v, %v; want 3/4, 1/4", u0, u1)
 	}
 }
 
-func TestTraversalProbabilitiesSumPerLevel(t *testing.T) {
-	m := dd.New(3, dd.WithNormalization(dd.NormLeft))
-	state, _ := m.FromVector(runningExampleVector())
-	tp := TraversalProbabilities(m, state)
-	sums := make(map[int]float64)
-	for n, p := range tp {
-		sums[n.V] += p
+func TestTraversalSumsToOnePerLevel(t *testing.T) {
+	snap := freezeRunningExample(t, dd.NormLeft)
+	sums := make(map[int32]float64)
+	for i := int32(0); int(i) < snap.Len(); i++ {
+		sums[snap.At(i).V] += snap.Traversal(i)
 	}
 	for level, sum := range sums {
 		if !approx(sum, 1, 1e-9) {
@@ -268,11 +293,10 @@ func TestTraversalProbabilitiesSumPerLevel(t *testing.T) {
 }
 
 func TestDownstreamIsOneUnderL2(t *testing.T) {
-	m := dd.New(3, dd.WithNormalization(dd.NormL2))
-	state, _ := m.FromVector(runningExampleVector())
-	for n, d := range Downstream(m, state) {
-		if !approx(d, 1, 1e-9) {
-			t.Errorf("downstream of node at level %d = %v, want 1 under NormL2", n.V, d)
+	snap := freezeRunningExample(t, dd.NormL2)
+	for i := int32(0); int(i) < snap.Len(); i++ {
+		if d := snap.Down(i); !approx(d, 1, 1e-9) {
+			t.Errorf("downstream of node at level %d = %v, want 1 under NormL2", snap.At(i).V, d)
 		}
 	}
 }
@@ -313,6 +337,39 @@ func TestQubitProbability(t *testing.T) {
 	}
 	if _, err := QubitProbability(m, state, 5); err == nil {
 		t.Error("expected error for out-of-range qubit")
+	}
+
+	// Random 6-qubit states under every norm: each qubit's marginal
+	// matches the statevector, and a repeated call is bit-identical.
+	const n = 6
+	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
+		for _, seed := range []uint64{23, 24} {
+			vec, probs := frozenRandomVector(n, seed)
+			m := dd.New(n, dd.WithNormalization(norm))
+			state, err := m.FromVector(vec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q := 0; q < n; q++ {
+				var want float64
+				for idx, p := range probs {
+					if idx>>uint(q)&1 == 1 {
+						want += p
+					}
+				}
+				got, err := QubitProbability(m, state, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !approx(got, want, 1e-9) {
+					t.Errorf("norm %v seed %d: P(q%d=1) = %v, statevector %v", norm, seed, q, got, want)
+				}
+				again, _ := QubitProbability(m, state, q)
+				if math.Float64bits(again) != math.Float64bits(got) {
+					t.Errorf("norm %v seed %d q%d: repeated call %v != %v", norm, seed, q, again, got)
+				}
+			}
+		}
 	}
 }
 
@@ -374,10 +431,7 @@ func TestSamplersAgreeOnRandomStates(t *testing.T) {
 
 	m := dd.New(n)
 	state, _ := m.FromVector(vec)
-	ddS, err := NewDDSampler(m, state)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ddS := freezeSampler(t, m, state)
 	shots := 60000
 	chiSquareCheck(t, "dd-random", ddS, probs, shots, 31)
 
@@ -385,28 +439,27 @@ func TestSamplersAgreeOnRandomStates(t *testing.T) {
 	chiSquareCheck(t, "prefix-random", ps, probs, shots, 32)
 }
 
-func TestFigure4cEdgeProbabilities(t *testing.T) {
+func TestFigure4cBranchProbabilities(t *testing.T) {
 	// The paper's Fig. 4c edge probabilities — 3/4 and 1/4 at the root,
 	// 1/2 everywhere on the q1 level — are properties of the state, so
 	// every normalization scheme must produce them.
 	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
-		m := dd.New(3, dd.WithNormalization(norm))
-		state, _ := m.FromVector(runningExampleVector())
-		probs := EdgeProbabilities(m, state)
-		root := state.N
-		p := probs[root]
+		snap := freezeRunningExample(t, norm)
+		root := snap.At(snap.Root())
+		p := edgeProbs(snap, snap.Root())
 		if !approx(p[0], 0.75, 1e-9) || !approx(p[1], 0.25, 1e-9) {
 			t.Errorf("norm=%v: root probabilities %v, want [3/4 1/4]", norm, p)
 		}
 		for i := 0; i < 2; i++ {
-			q1 := probs[root.E[i].N]
+			q1 := edgeProbs(snap, root.Kid[i])
 			if !approx(q1[0], 0.5, 1e-9) || !approx(q1[1], 0.5, 1e-9) {
 				t.Errorf("norm=%v: q1[%d] probabilities %v, want [1/2 1/2]", norm, i, q1)
 			}
 		}
 		// The q0 nodes put all probability on their non-zero edge.
-		for _, n := range []*dd.VNode{root.E[0].N.E[0].N, root.E[0].N.E[1].N} {
-			p := probs[n]
+		left := snap.At(root.Kid[0])
+		for _, k := range left.Kid {
+			p := edgeProbs(snap, k)
 			if !approx(p[0]+p[1], 1, 1e-9) {
 				t.Errorf("norm=%v: q0 probabilities %v do not sum to 1", norm, p)
 			}
@@ -414,13 +467,9 @@ func TestFigure4cEdgeProbabilities(t *testing.T) {
 	}
 }
 
-func TestDDSamplerDeterministicOnBasisState(t *testing.T) {
+func TestFrozenSamplerDeterministicOnBasisState(t *testing.T) {
 	m := dd.New(5)
-	state := m.BasisState(19)
-	s, err := NewDDSampler(m, state)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := freezeSampler(t, m, m.BasisState(19))
 	r := rng.New(77)
 	for i := 0; i < 100; i++ {
 		if got := s.Sample(r); got != 19 {
@@ -433,7 +482,7 @@ func TestCountsTotals(t *testing.T) {
 	m := dd.New(2)
 	vec := []cnum.Complex{cnum.SqrtHalf, cnum.Zero, cnum.Zero, cnum.SqrtHalf}
 	state, _ := m.FromVector(vec)
-	s, _ := NewDDSampler(m, state)
+	s := freezeSampler(t, m, state)
 	counts := Counts(s, rng.New(1), 5000)
 	total := 0
 	for idx, n := range counts {

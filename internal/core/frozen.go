@@ -13,26 +13,24 @@ import (
 	"weaksim/internal/rng"
 )
 
-// FrozenSampler draws measurement samples from an immutable dd.Snapshot
-// (paper Section IV over frozen arrays). Where DDSampler chases node
-// pointers through the live diagram and — under conventional normalization —
-// consults a hash map of downstream masses on every branch decision, the
-// frozen walk reads a flat []dd.SnapNode by int32 index and compares the
-// uniform draw against the precomputed cumulative threshold P0. The walk is
-// therefore a handful of cache-friendly array loads per level and performs
-// no map lookups, no interface dispatch, and no pointer chasing.
+// FrozenSampler draws measurement samples from an immutable dd.Snapshot:
+// the paper's randomized O(n) root-to-terminal walk (Section IV) over flat
+// arrays. The walk reads a []dd.SnapNode by int32 index and compares one
+// uniform draw per level against the node's precomputed 0-branch threshold
+// P0 — |w0|² under L2 normalization (Section IV-C), the downstream-
+// renormalized d0/(d0+d1) otherwise (Section IV-B). Each level is a handful
+// of cache-friendly array loads: no map lookups, no interface dispatch, no
+// pointer chasing.
 //
 // A FrozenSampler is safe for concurrent use by any number of goroutines,
 // each with its own *rng.RNG: the snapshot is immutable, and the only
 // mutable field (the renorm counter) is atomic. This is what the parallel
 // shot generator relies on — one snapshot, many lock-free walkers.
 //
-// The walk is bit-for-bit identical to DDSampler.Sample for the same random
-// sequence: the thresholds are computed with the same floating-point
-// expressions at freeze time (fast path: |w0|² verbatim; generic path:
-// d0/(d0+d1) in the same operation order), exactly one uniform is consumed
-// per level, and the zero-edge fallback flips the branch without drawing
-// again.
+// The walk is a pure function of the snapshot and the random sequence:
+// exactly one uniform is consumed per level, and the zero-edge fallback
+// flips the branch without drawing again. Served counts depend on that, so
+// golden digests pin it (TestFrozenMatchesLiveBitForBit).
 type FrozenSampler struct {
 	nodes   []dd.SnapNode
 	root    int32
@@ -64,7 +62,10 @@ func (s *FrozenSampler) Qubits() int { return s.n }
 func (s *FrozenSampler) Snapshot() *dd.Snapshot { return s.snap }
 
 // Renorms returns how many zero-edge fallbacks walks have taken so far,
-// summed across all goroutines. See DDSampler.Renorms.
+// summed across all goroutines — the "rejection/renormalization" events of
+// the randomized traversal, caused purely by floating-point slack at
+// (near-)zero branch probabilities. A healthy state keeps this at or near
+// zero.
 func (s *FrozenSampler) Renorms() uint64 { return s.renorms.Load() }
 
 // Sample draws one basis-state index by a randomized walk over the frozen
@@ -147,9 +148,7 @@ type WorkerStat struct {
 // rng.New(seed) — the single-worker run is bit-for-bit the sequential one.
 //
 // The sampler must be safe for concurrent use (FrozenSampler is; the
-// vector-based samplers are too, being read-only after construction; the
-// live DDSampler's generic path is, but shares a renorm counter and must not
-// race — use a FrozenSampler for parallel batches).
+// vector-based samplers are too, being read-only after construction).
 func CountsParallel(s Sampler, seed uint64, shots, workers int) (map[uint64]int, []WorkerStat) {
 	counts, stats, _ := CountsParallelContext(context.Background(), s, seed, shots, workers)
 	return counts, stats

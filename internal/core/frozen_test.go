@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"sync"
 	"testing"
@@ -31,21 +33,37 @@ func frozenRandomVector(n int, seed uint64) ([]cnum.Complex, []float64) {
 	return vec, ProbabilitiesFromAmplitudes(vec)
 }
 
-// TestFrozenMatchesLiveBitForBit pins the core acceptance property of the
-// freeze refactor: for the same random sequence, walks over the frozen
-// arrays select exactly the indices the live pointer walk selects — under
-// every normalization scheme and under both branch-probability rules.
+// walkDigest is the FNV-1a hash of shots indices drawn from s with
+// rng.New(seed), each index fed as 8 little-endian bytes.
+func walkDigest(s Sampler, seed uint64, shots int) uint64 {
+	h := fnv.New64a()
+	r := rng.New(seed)
+	var buf [8]byte
+	for i := 0; i < shots; i++ {
+		binary.LittleEndian.PutUint64(buf[:], s.Sample(r))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestFrozenMatchesLiveBitForBit pins the frozen walk to the pointer walk
+// over the live diagram that it replaced: for the same random 6-qubit
+// state (seed 23) and random sequence (rng.New(99), 20000 shots), the
+// index sequence and renorm count must match digests recorded from the
+// live walk — under every normalization scheme and both branch rules.
 func TestFrozenMatchesLiveBitForBit(t *testing.T) {
 	vec, _ := frozenRandomVector(6, 23)
 	cases := []struct {
 		name    string
 		norm    dd.Norm
 		generic bool
+		digest  uint64
+		renorms uint64
 	}{
-		{"left-generic", dd.NormLeft, false},
-		{"l2-fast", dd.NormL2, false},
-		{"l2phase-fast", dd.NormL2Phase, false},
-		{"l2phase-forced-generic", dd.NormL2Phase, true},
+		{"left-generic", dd.NormLeft, false, 0xc994482306eb8188, 0},
+		{"l2-fast", dd.NormL2, false, 0xc994482306eb8188, 0},
+		{"l2phase-fast", dd.NormL2Phase, false, 0xc994482306eb8188, 0},
+		{"l2phase-forced-generic", dd.NormL2Phase, true, 0xc994482306eb8188, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,33 +72,16 @@ func TestFrozenMatchesLiveBitForBit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var liveOpts []DDSamplerOption
-			var frOpts []dd.FreezeOption
+			var opts []dd.FreezeOption
 			if tc.generic {
-				liveOpts = append(liveOpts, ForceGeneric())
-				frOpts = append(frOpts, dd.FreezeGeneric())
+				opts = append(opts, dd.FreezeGeneric())
 			}
-			live, err := NewDDSampler(m, state, liveOpts...)
-			if err != nil {
-				t.Fatal(err)
+			frozen := freezeSampler(t, m, state, opts...)
+			if got := walkDigest(frozen, 99, 20000); got != tc.digest {
+				t.Errorf("walk digest %#016x, want %#016x", got, tc.digest)
 			}
-			snap, err := m.Freeze(state, frOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			frozen, err := NewFrozenSampler(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ra, rb := rng.New(99), rng.New(99)
-			for i := 0; i < 20000; i++ {
-				lv, fv := live.Sample(ra), frozen.Sample(rb)
-				if lv != fv {
-					t.Fatalf("shot %d: live %d, frozen %d — walks diverge", i, lv, fv)
-				}
-			}
-			if live.Renorms() != frozen.Renorms() {
-				t.Errorf("renorm counts diverge: live %d, frozen %d", live.Renorms(), frozen.Renorms())
+			if got := frozen.Renorms(); got != tc.renorms {
+				t.Errorf("renorms %d, want %d", got, tc.renorms)
 			}
 		})
 	}
@@ -89,6 +90,10 @@ func TestFrozenMatchesLiveBitForBit(t *testing.T) {
 func TestNewFrozenSamplerRejectsBadInput(t *testing.T) {
 	if _, err := NewFrozenSampler(nil); err == nil {
 		t.Error("expected error for nil snapshot")
+	}
+	m := dd.New(3)
+	if _, _, err := MeasureAll(m, dd.VEdge{}, rng.New(1)); err == nil {
+		t.Error("expected error sampling the zero vector")
 	}
 }
 

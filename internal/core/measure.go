@@ -15,7 +15,11 @@ import (
 // offer this destructive operation; repeated non-destructive sampling is
 // the luxury of simulation (paper Section IV-B).
 func MeasureAll(m *dd.Manager, state dd.VEdge, r *rng.RNG) (uint64, dd.VEdge, error) {
-	s, err := NewDDSampler(m, state)
+	snap, err := m.Freeze(state)
+	if err != nil {
+		return 0, dd.VEdge{}, fmt.Errorf("core: %w", err)
+	}
+	s, err := NewFrozenSampler(snap)
 	if err != nil {
 		return 0, dd.VEdge{}, err
 	}
@@ -25,27 +29,39 @@ func MeasureAll(m *dd.Manager, state dd.VEdge, r *rng.RNG) (uint64, dd.VEdge, er
 
 // QubitProbability returns the probability that measuring the given qubit
 // yields 1, computed from the upstream/downstream node probabilities in
-// time linear in the DD size.
+// time linear in the DD size: the sum, over the nodes deciding the qubit,
+// of upstream mass × |w1|² × the 1-successor's downstream mass (paper
+// Section IV-B). The sum runs in snapshot index order, so repeated calls
+// return bit-identical results.
 func QubitProbability(m *dd.Manager, state dd.VEdge, qubit int) (float64, error) {
 	if qubit < 0 || qubit >= m.Qubits() {
 		return 0, fmt.Errorf("core: qubit %d out of range", qubit)
 	}
-	norm := m.Norm2(state)
-	if norm <= 0 {
+	if state.IsZero() {
 		return 0, fmt.Errorf("core: cannot measure the zero vector")
 	}
-	down := Downstream(m, state)
-	up := Upstream(m, state)
+	snap, err := m.Freeze(state)
+	if err != nil {
+		return 0, fmt.Errorf("core: %w", err)
+	}
 	var p1 float64
-	for n, u := range up {
-		if n.V != qubit {
+	for i := int32(0); int(i) < snap.Len(); i++ {
+		nd := snap.At(i)
+		if int(nd.V) != qubit || nd.Kid[1] == dd.SnapZero {
 			continue
 		}
-		if e := n.E[1]; !e.IsZero() {
-			p1 += u * e.W.Abs2() * downOf(e.N, down)
-		}
+		p1 += snap.Up(i) * nd.W[1].Abs2() * downOf(snap, nd.Kid[1])
 	}
-	return p1 / norm, nil
+	return p1 / (snap.RootWeight().Abs2() * snap.Down(snap.Root())), nil
+}
+
+// downOf returns the downstream mass below child index k: 1 for the
+// terminal, the frozen annotation otherwise. k must not be dd.SnapZero.
+func downOf(snap *dd.Snapshot, k int32) float64 {
+	if k == dd.SnapTerminal {
+		return 1
+	}
+	return snap.Down(k)
 }
 
 // MeasureQubit measures a single qubit, collapses the state accordingly,

@@ -32,13 +32,16 @@ func TopOutcomes(m *dd.Manager, state dd.VEdge, k int) ([]Outcome, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be positive")
 	}
-	down := Downstream(m, state)
+	snap, err := m.Freeze(state)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 
 	pq := &pathQueue{}
 	heap.Init(pq)
 	heap.Push(pq, pathItem{
-		mass: state.W.Abs2() * downOf(state.N, down),
-		node: state.N,
+		mass: state.W.Abs2() * downOf(snap, snap.Root()),
+		node: snap.Root(),
 		v:    m.Qubits() - 1,
 	})
 
@@ -51,14 +54,15 @@ func TopOutcomes(m *dd.Manager, state dd.VEdge, k int) ([]Outcome, error) {
 			out = append(out, Outcome{Index: it.idx, Probability: it.mass})
 			continue
 		}
+		nd := snap.At(it.node)
 		for bit := uint64(0); bit < 2; bit++ {
-			e := it.node.E[bit]
-			if e.IsZero() {
+			kid := nd.Kid[bit]
+			if kid == dd.SnapZero {
 				continue
 			}
 			child := pathItem{
-				mass: it.mass / downOf(it.node, down) * e.W.Abs2() * downOf(e.N, down),
-				node: e.N,
+				mass: it.mass / snap.Down(it.node) * nd.W[bit].Abs2() * downOf(snap, kid),
+				node: kid,
 				idx:  it.idx | bit<<uint(it.v),
 				v:    it.v - 1,
 			}
@@ -80,7 +84,7 @@ func TopOutcomes(m *dd.Manager, state dd.VEdge, k int) ([]Outcome, error) {
 
 type pathItem struct {
 	mass float64
-	node *dd.VNode
+	node int32 // snapshot index; dd.SnapTerminal once the path is complete
 	idx  uint64
 	v    int
 }

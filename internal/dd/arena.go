@@ -13,7 +13,7 @@ package dd
 //     slab; a new slab is one make([]VNode, slabSize) per 4096 nodes.
 //   - Node pointers are stable for the life of the Manager (slabs are never
 //     moved or shrunk), so everything that identifies nodes by pointer —
-//     compute caches, snapshot origins, diagnostic maps — keeps working.
+//     compute caches and the unique tables — keeps working.
 //   - Every node carries its arena slot index (id). Ids are dense, which
 //     lets the freeze pass and the hash tables replace pointer-keyed maps
 //     with flat arrays, and gives the unique-table hash a stable, cheap

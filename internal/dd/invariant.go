@@ -310,9 +310,6 @@ func (s *Snapshot) Verify() error {
 	if len(s.down) != n || len(s.up) != n {
 		return violated(CheckMass, "array lengths diverge: %d nodes, %d down, %d up", n, len(s.down), len(s.up))
 	}
-	if s.origins != nil && len(s.origins) != n {
-		return violated(CheckPostOrder, "origins length %d for %d nodes", len(s.origins), n)
-	}
 	if s.nqubits < 1 || s.nqubits > MaxQubits {
 		return violated(CheckLevels, "snapshot claims %d qubits", s.nqubits)
 	}

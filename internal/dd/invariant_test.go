@@ -96,14 +96,13 @@ func TestSnapshotVerifyPassesOnFreshFreeze(t *testing.T) {
 		if err := snap.Verify(); err != nil {
 			t.Errorf("norm %v: %v", norm, err)
 		}
-		// A decoded snapshot carries no origin pointers; Verify (and Origin)
-		// must accept that shape.
-		snap.origins = nil
-		if err := snap.Verify(); err != nil {
-			t.Errorf("norm %v, origins stripped: %v", norm, err)
+		// The decoded form of the same snapshot must pass too.
+		dec, err := DecodeSnapshot(EncodeSnapshot(snap))
+		if err != nil {
+			t.Fatalf("norm %v: %v", norm, err)
 		}
-		if snap.Origin(0) != nil {
-			t.Errorf("norm %v: Origin on an origin-free snapshot", norm)
+		if err := dec.Verify(); err != nil {
+			t.Errorf("norm %v, decoded: %v", norm, err)
 		}
 	}
 	if err := mustFreeze(t, NormL2, FreezeGeneric()).Verify(); err != nil {

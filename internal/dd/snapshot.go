@@ -31,8 +31,9 @@ package dd
 // Node indexing is post-order: both children of a node always carry smaller
 // indices than the node itself (terminal and zero edges use negative
 // sentinels). Downstream mass is therefore computable in one ascending pass
-// and upstream mass in one descending pass, replacing the three hash-map
-// annotation passes of the pointer-based sampler.
+// and upstream mass in one descending pass. Diagnostics (traversal
+// probabilities, qubit marginals, pruning, top-k enumeration) read the same
+// arrays by index.
 
 import (
 	"context"
@@ -84,8 +85,6 @@ type Snapshot struct {
 	nodes []SnapNode
 	down  []float64 // downstream probability mass per node (Section IV-B)
 	up    []float64 // upstream probability mass per node
-
-	origins []*VNode // frozen-from node per index, for pointer-keyed diagnostics
 }
 
 // FreezeOption configures Manager.Freeze.
@@ -151,32 +150,38 @@ func (m *Manager) Freeze(root VEdge, opts ...FreezeOption) (*Snapshot, error) {
 		generic: !fast,
 		rootW:   root.W,
 	}
-	// Pre-size for the common case; the unique table bounds the reachable
-	// node count from above.
-	if n := m.vTab.n; n > 0 {
-		hint := n
-		const maxHint = 1 << 20
-		if hint > maxHint {
-			hint = maxHint
-		}
-		s.nodes = make([]SnapNode, 0, hint)
-		s.down = make([]float64, 0, hint)
-		s.origins = make([]*VNode, 0, hint)
-	}
-
-	// Dedup via the arena: node ids are dense indices, so a flat scratch
-	// slice replaces the map[*VNode]int32 the pre-arena freeze paid one hash
-	// per visit for. Entries store index+1; 0 means unseen.
+	// Number the reachable nodes in post-order, deduplicating via the
+	// arena: node ids are dense indices, so a flat scratch slice replaces a
+	// map[*VNode]int32. Entries store index+1; 0 means unseen. The order
+	// slice is scratch too, so the frozen arrays below are allocated at
+	// their exact length and keep no pointer into the Manager's slabs.
 	seen := make([]int32, m.varena.len())
-	var freeze func(n *VNode) int32
-	freeze = func(n *VNode) int32 {
+	var order []*VNode
+	var visit func(n *VNode)
+	visit = func(n *VNode) {
+		if n == nil || seen[n.id] != 0 {
+			return
+		}
+		for b := 0; b < 2; b++ {
+			if e := n.E[b]; !e.IsZero() {
+				visit(e.N)
+			}
+		}
+		order = append(order, n)
+		seen[n.id] = int32(len(order))
+	}
+	visit(root.N)
+	index := func(n *VNode) int32 {
 		if n == nil {
 			return SnapTerminal
 		}
-		if i := seen[n.id]; i != 0 {
-			return i - 1
-		}
-		var sn SnapNode
+		return seen[n.id] - 1
+	}
+
+	s.nodes = make([]SnapNode, len(order))
+	s.down = make([]float64, len(order))
+	for i, n := range order {
+		sn := &s.nodes[i]
 		sn.V = int32(n.V)
 		var d [2]float64
 		var downMass float64
@@ -186,7 +191,7 @@ func (m *Manager) Freeze(root VEdge, opts ...FreezeOption) (*Snapshot, error) {
 				sn.Kid[b] = SnapZero
 				continue
 			}
-			sn.Kid[b] = freeze(e.N)
+			sn.Kid[b] = index(e.N)
 			sn.W[b] = e.W
 			dk := 1.0
 			if k := sn.Kid[b]; k >= 0 {
@@ -195,22 +200,17 @@ func (m *Manager) Freeze(root VEdge, opts ...FreezeOption) (*Snapshot, error) {
 			d[b] = e.W.Abs2() * dk
 			downMass += d[b]
 		}
-		// The branch threshold reproduces the live sampler's per-walk
-		// arithmetic exactly, so frozen walks are bit-for-bit identical to
-		// pointer walks for the same random sequence.
+		// Under L2 normalization the threshold is |w0|² verbatim (Section
+		// IV-C); otherwise it is the downstream-renormalized d0/(d0+d1)
+		// (Section IV-B).
 		if fast {
 			sn.P0 = n.E[0].W.Abs2()
 		} else if total := d[0] + d[1]; total > 0 {
 			sn.P0 = d[0] / total
 		}
-		i := int32(len(s.nodes))
-		s.nodes = append(s.nodes, sn)
-		s.down = append(s.down, downMass)
-		s.origins = append(s.origins, n)
-		seen[n.id] = i + 1
-		return i
+		s.down[i] = downMass
 	}
-	s.root = freeze(root.N)
+	s.root = index(root.N)
 
 	// Upstream pass: parents have larger indices than children (post-order),
 	// so one descending sweep accumulates root-to-node half-path mass.
@@ -285,18 +285,6 @@ func (s *Snapshot) Up(i int32) float64 { return s.up[i] }
 // normalized state.
 func (s *Snapshot) Traversal(i int32) float64 { return s.up[i] * s.down[i] }
 
-// Origin returns the live *VNode that node i was frozen from, or nil when
-// the snapshot carries no origin pointers — snapshots decoded from disk
-// never do. Diagnostic surfaces use it to key results by node pointer; the
-// pointer is only meaningful while the originating diagram still exists, and
-// the Snapshot itself never dereferences it.
-func (s *Snapshot) Origin(i int32) *VNode {
-	if s.origins == nil {
-		return nil
-	}
-	return s.origins[i]
-}
-
 // Amplitude returns the amplitude of basis state idx, computed from the
 // frozen arrays alone — the product of edge weights along the path the bits
 // of idx select.
@@ -336,9 +324,11 @@ type SnapshotStats struct {
 // budget, and evictions release the same amount. The estimate is intentional
 // arithmetic over the slice lengths (no unsafe.Sizeof walking), so it is
 // stable across architectures and cheap enough to call on every admission.
+// Freeze and DecodeSnapshot allocate every array at its exact length, so the
+// lengths are also the capacities the snapshot holds.
 func (s *Snapshot) Bytes() int {
 	const nodeBytes = 8 + 8 + 32 + 4 + 4 // Kid + P0 + W + V + padding
-	return len(s.nodes)*nodeBytes + len(s.down)*8 + len(s.up)*8 + len(s.origins)*8
+	return len(s.nodes)*nodeBytes + len(s.down)*8 + len(s.up)*8
 }
 
 // Stats returns size statistics for the snapshot.

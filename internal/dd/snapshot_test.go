@@ -88,15 +88,47 @@ func TestFreezeDownUpMassMatchReference(t *testing.T) {
 		if got, want := snap.Len(), len(memo); got != want {
 			t.Fatalf("norm %v: %d frozen nodes, reference reaches %d", norm, got, want)
 		}
-		for i := 0; i < snap.Len(); i++ {
-			n := snap.Origin(int32(i))
+		// Pair every live node with the snapshot index reached along the
+		// same edges from the root. The pairing must be a bijection, and
+		// each paired index must carry the reference mass bit for bit.
+		pairedIdx := make(map[*VNode]int32)
+		used := make([]bool, snap.Len())
+		var pair func(n *VNode, i int32)
+		pair = func(n *VNode, i int32) {
 			if n == nil {
-				t.Fatalf("norm %v: node %d has no origin", norm, i)
+				if i != SnapTerminal {
+					t.Fatalf("norm %v: terminal edge frozen as index %d", norm, i)
+				}
+				return
 			}
-			if got, want := snap.Down(int32(i)), memo[n]; got != want {
+			if j, ok := pairedIdx[n]; ok {
+				if j != i {
+					t.Fatalf("norm %v: one node frozen as indices %d and %d", norm, j, i)
+				}
+				return
+			}
+			if i < 0 || used[i] {
+				t.Fatalf("norm %v: index %d invalid or shared by two nodes", norm, i)
+			}
+			pairedIdx[n], used[i] = i, true
+			if got, want := snap.Down(i), memo[n]; got != want {
 				t.Errorf("norm %v: down[%d] = %v, want %v (bit-exact)", norm, i, got, want)
 			}
+			nd := snap.At(i)
+			if int(nd.V) != n.V {
+				t.Errorf("norm %v: node %d at level %d, live node at %d", norm, i, nd.V, n.V)
+			}
+			for b := 0; b < 2; b++ {
+				if e := n.E[b]; e.IsZero() {
+					if nd.Kid[b] != SnapZero {
+						t.Errorf("norm %v: node %d zero edge %d frozen as %d", norm, i, b, nd.Kid[b])
+					}
+				} else {
+					pair(e.N, nd.Kid[b])
+				}
+			}
 		}
+		pair(state.N, snap.Root())
 		levelSums := make(map[int32]float64)
 		for i := 0; i < snap.Len(); i++ {
 			levelSums[snap.At(int32(i)).V] += snap.Traversal(int32(i))
@@ -194,6 +226,43 @@ func TestSnapshotSurvivesManagerReuse(t *testing.T) {
 		if got := snap.Amplitude(idx); got != wantAmps[idx] {
 			t.Errorf("amplitude(%d) changed after manager reuse: %v vs %v", idx, got, wantAmps[idx])
 		}
+	}
+}
+
+// TestFreezeAllocatesExactly: the unique table still holds nodes no GC has
+// swept, yet the frozen arrays are sized to the reachable node count, so
+// Bytes (computed from lengths) is what the snapshot actually holds.
+func TestFreezeAllocatesExactly(t *testing.T) {
+	m := New(6)
+	vec := func(seed float64) []cnum.Complex {
+		v := make([]cnum.Complex, 64)
+		var norm2 float64
+		for i := range v {
+			v[i] = cnum.New(math.Sin(seed*float64(i+1)), math.Cos(seed*float64(2*i+3)))
+			norm2 += v[i].Abs2()
+		}
+		for i := range v {
+			v[i] = v[i].Scale(1 / math.Sqrt(norm2))
+		}
+		return v
+	}
+	if _, err := m.FromVector(vec(1.7)); err != nil { // left dead in the table
+		t.Fatal(err)
+	}
+	state, err := m.FromVector(vec(0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Freeze(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.vTab.n <= snap.Len() {
+		t.Fatalf("unique table holds %d nodes for a %d-node state; the test needs dead nodes", m.vTab.n, snap.Len())
+	}
+	if cap(snap.nodes) != len(snap.nodes) || cap(snap.down) != len(snap.down) || cap(snap.up) != len(snap.up) {
+		t.Errorf("freeze over-allocates: nodes %d/%d, down %d/%d, up %d/%d (len/cap)",
+			len(snap.nodes), cap(snap.nodes), len(snap.down), cap(snap.down), len(snap.up), cap(snap.up))
 	}
 }
 

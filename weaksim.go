@@ -314,8 +314,8 @@ func (s *State) Sampler(opts ...Option) (*Sampler, error) {
 	case MethodDD:
 		// Freeze-then-sample (paper Section IV over immutable arrays): the
 		// final state DD is converted once into a flat, pointer-free snapshot
-		// with branch probabilities precomputed inline — this pass subsumes
-		// the historical downstream annotation — and every walk thereafter is
+		// with branch probabilities and downstream/upstream masses precomputed
+		// inline, and every walk thereafter is
 		// a lock-free traversal of the frozen arrays. After the freeze the
 		// Manager is no longer needed for sampling: it may be reused for the
 		// next circuit or garbage-collected while sampling proceeds, and the
@@ -342,9 +342,10 @@ func (s *State) Sampler(opts ...Option) (*Sampler, error) {
 		inner = frozen
 	case MethodPrefix, MethodLinear, MethodAlias:
 		// For the dense family the probability expansion and prefix-sum /
-		// alias-table construction is the annotation analogue of the DD
-		// sampler's downstream pass, so it lands in the same phase bucket.
-		stop := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseAnnotateDown)
+		// alias-table construction is the one pass between apply and the
+		// first shot — the analogue of the DD freeze — so it lands in the
+		// freeze phase bucket.
+		stop := obs.StartPhase(cfg.reg, cfg.tracer, obs.PhaseFreeze)
 		amps, err := s.vector()
 		if err != nil {
 			stop()
