@@ -199,30 +199,49 @@ func edgeProbs(snap *dd.Snapshot, i int32) [2]float64 {
 	return [2]float64{d[0] / total, d[1] / total}
 }
 
-// TestFrozenSamplerMatchesDistribution: under every normalization scheme
-// and both branch-probability rules, the frozen walk reproduces the exact
-// distribution of the running example.
-func TestFrozenSamplerMatchesDistribution(t *testing.T) {
+// TestDDSamplerMatchesDistribution: under every normalization scheme the
+// frozen walk reproduces the exact distribution of the running example,
+// taking the direct rule wherever the norm allows it.
+func TestDDSamplerMatchesDistribution(t *testing.T) {
 	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
-		for _, generic := range []bool{false, true} {
-			m := dd.New(3, dd.WithNormalization(norm))
-			state, err := m.FromVector(runningExampleVector())
-			if err != nil {
-				t.Fatal(err)
-			}
-			name, seed := "dd-"+norm.String(), uint64(5)
-			var opts []dd.FreezeOption
-			if generic {
-				name, seed = name+"-generic", 6
-				opts = append(opts, dd.FreezeGeneric())
-			}
-			s := freezeSampler(t, m, state, opts...)
-			wantGeneric := generic || norm == dd.NormLeft
-			if s.Snapshot().Generic() != wantGeneric {
-				t.Errorf("%s: Generic = %v, want %v", name, s.Snapshot().Generic(), wantGeneric)
-			}
-			chiSquareCheck(t, name, s, runningExampleProbs(), 40000, seed)
+		m := dd.New(3, dd.WithNormalization(norm))
+		state, err := m.FromVector(runningExampleVector())
+		if err != nil {
+			t.Fatal(err)
 		}
+		s := freezeSampler(t, m, state)
+		wantGeneric := norm == dd.NormLeft
+		if s.Snapshot().Generic() != wantGeneric {
+			t.Errorf("norm=%v: Generic = %v, want %v", norm, s.Snapshot().Generic(), wantGeneric)
+		}
+		chiSquareCheck(t, "dd-"+norm.String(), s, runningExampleProbs(), 40000, 5)
+	}
+}
+
+// TestDDSamplerForceGeneric: dd.FreezeGeneric forces the downstream-weighted
+// rule under every norm, and the walk still matches the distribution.
+func TestDDSamplerForceGeneric(t *testing.T) {
+	for _, norm := range []dd.Norm{dd.NormLeft, dd.NormL2, dd.NormL2Phase} {
+		m := dd.New(3, dd.WithNormalization(norm))
+		state, err := m.FromVector(runningExampleVector())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := freezeSampler(t, m, state, dd.FreezeGeneric())
+		if !s.Snapshot().Generic() {
+			t.Errorf("norm=%v: FreezeGeneric did not force the generic rule", norm)
+		}
+		chiSquareCheck(t, "dd-"+norm.String()+"-generic", s, runningExampleProbs(), 40000, 6)
+	}
+}
+
+func TestDDSamplerRejectsZeroVector(t *testing.T) {
+	m := dd.New(3)
+	if _, _, err := MeasureAll(m, dd.VEdge{}, rng.New(1)); err == nil {
+		t.Error("expected error sampling the zero vector")
+	}
+	if _, err := m.Freeze(dd.VEdge{}); err == nil {
+		t.Error("expected error freezing the zero vector")
 	}
 }
 
